@@ -1,6 +1,6 @@
 """Flight-recorder overhead: always-on must mean almost-free.
 
-The flight recorder (:data:`repro.obs.FLIGHT`) records at every driver
+The flight recorder (:data:`repro.trace.TRACER`) records at every driver
 control op, worker op and MPI collective even with tracing disabled, so
 its cost rides on every ODIN workload.  The acceptance bound is <=5%
 end-to-end on the C1 ufunc-scaling workload with tracing off.
@@ -8,10 +8,11 @@ end-to-end on the C1 ufunc-scaling workload with tracing off.
 Two measurements:
 
 1. the C1 workload (two odin.random arrays, one fused expression,
-   evaluate) with the recorder disabled vs. enabled at the default
-   4096-slot capacity -- best-of-N wall clock on each side;
+   evaluate) with the recorder off (capacity 0) vs. on at the default
+   4096-event capacity -- best-of-N wall clock on each side;
 2. a microbenchmark of one ``FLIGHT.complete()`` append (the hot-path
-   unit: a perf_counter read, a tuple build and an index store).
+   unit: a perf_counter read, a tuple build and a bounded deque
+   append).
 """
 
 import time
@@ -20,7 +21,8 @@ import timeit
 import numpy as np
 
 from repro import odin
-from repro.obs.flight import FLIGHT, FlightRecorder
+from repro.trace.tracer import TRACER as FLIGHT
+from repro.trace.tracer import Tracer
 from repro.odin.context import OdinContext
 
 try:
@@ -55,21 +57,22 @@ def _best_of(runs=REPEATS):
 
 
 def _measure():
-    was_enabled = FLIGHT.enabled
+    was_capacity = FLIGHT.capacity
     try:
-        FLIGHT.enabled = False
+        FLIGHT.capacity = 0
         off = _best_of()
-        FLIGHT.enabled = True
+        FLIGHT.capacity = 4096
         on = _best_of()
     finally:
-        FLIGHT.enabled = was_enabled
+        FLIGHT.capacity = was_capacity
 
     # hot-path unit cost, isolated from the workload
-    rec = FlightRecorder(capacity=4096)
+    rec = Tracer(capacity=4096)
     t0 = rec.now()
     append = timeit.timeit(
         lambda: rec.complete("bench", "op", 0, t0), number=100_000)
-    guard = timeit.timeit("r.enabled", globals={"r": rec}, number=1_000_000)
+    guard = timeit.timeit("r.recording", globals={"r": rec},
+                          number=1_000_000)
     return off, on, append, guard
 
 
@@ -91,14 +94,14 @@ def generate_report() -> str:
         [
             ("FLIGHT.complete() append (1e5)", f"{append:.4f}",
              f"{append * 1e4:.0f}"),
-            ("FLIGHT.enabled guard (1e6)", f"{guard:.4f}",
+            ("FLIGHT.recording guard (1e6)", f"{guard:.4f}",
              f"{guard * 1e3:.1f}"),
         ]))
     section.line()
     section.line(
-        "An append is a clock read, a tuple build and an index store "
-        "into a preallocated per-thread ring -- no locks, no "
-        "allocation growth.  The acceptance bound is <=5% end-to-end "
+        "An append is a clock read, a tuple build and an append to "
+        "the thread's bounded deque -- no locks, no growth past the "
+        "capacity.  The acceptance bound is <=5% end-to-end "
         "with tracing disabled; the recorder earns its keep the first "
         "time a crash dump replaces a blind AbortError.")
     return section.render()
@@ -109,14 +112,14 @@ def test_flight_overhead_within_bound(benchmark):
     (the report shows the measured figure; the acceptance bound of 5%
     is checked on quiet machines, CI uses slack for shared runners)."""
     def run():
-        was = FLIGHT.enabled
+        was = FLIGHT.capacity
         try:
-            FLIGHT.enabled = False
+            FLIGHT.capacity = 0
             off = _best_of(3)
-            FLIGHT.enabled = True
+            FLIGHT.capacity = 4096
             on = _best_of(3)
         finally:
-            FLIGHT.enabled = was
+            FLIGHT.capacity = was
         return off, on
     off, on = benchmark.pedantic(run, rounds=1, iterations=1)
     assert on < off * 1.5

@@ -103,20 +103,20 @@ def main(argv=None) -> int:
               f"program-runs")
         if args.repro_out:
             doc = failures[0].to_dict()
-            # attach the crash flight recorder: the rings cover the
+            # attach the crash flight recording: the window covers the
             # post-shrink replay of the minimal program, and last_fault
             # carries the causal op_id + per-rank pending snapshot taken
             # at the moment the injected fault fired
-            from ..obs.flight import FLIGHT
+            from ..trace import TRACER
             flight_path = None
-            if FLIGHT.enabled:
+            if TRACER.recording:
                 try:
-                    flight_path = FLIGHT.dump(args.repro_out
+                    flight_path = TRACER.dump(args.repro_out
                                               + ".flight.json")
                 except OSError:
                     flight_path = None
             doc["flight_dump"] = flight_path
-            doc["last_fault"] = FLIGHT.last_fault
+            doc["last_fault"] = TRACER.last_fault
             with open(args.repro_out, "w") as fh:
                 json.dump(doc, fh, indent=2, sort_keys=True, default=str)
             print(f"shrunk repro written to {args.repro_out}")

@@ -268,7 +268,7 @@ class ChaosEngine:
             # visible to the analyzer's critical-path walk
             t0 = _TR.now()
             time.sleep(seconds)
-            _TR.complete("chaos", kind, t0, rank=rank, op=op, step=step,
+            _TR.complete("chaos", kind, rank, t0, op=op, step=step,
                          seconds=seconds)
         else:
             time.sleep(seconds)
@@ -278,8 +278,8 @@ class ChaosEngine:
                step: int) -> None:
         self._record("crash", rank, op, step, after=rule.after)
         from ..mpi.errors import InjectedFault
-        from ..obs.flight import FLIGHT
-        FLIGHT.notify_fault("InjectedFault",
+        from ..trace import TRACER
+        TRACER.notify_fault("InjectedFault",
                             f"rank {rank} at step {step} ({op}): {rule!r}")
         raise InjectedFault(rank, step, repr(rule))
 

@@ -148,7 +148,7 @@ class Win:
         self.comm.counters().record_send(
             self.comm.world_rank(target_rank), data.nbytes)
         if _TR.enabled:
-            _TR.complete("mpi.rma", "Put", t0, rank=self.comm.context.rank,
+            _TR.complete("mpi.rma", "Put", self.comm.context.rank, t0,
                          target=self.comm.world_rank(target_rank),
                          nbytes=data.nbytes)
         if _MX.enabled:
@@ -185,7 +185,7 @@ class Win:
                 self.comm.context.rank, out.nbytes)
         self.comm.counters().record_recv(target_world, out.nbytes)
         if _TR.enabled:
-            _TR.complete("mpi.rma", "Get", t0, rank=self.comm.context.rank,
+            _TR.complete("mpi.rma", "Get", self.comm.context.rank, t0,
                          target=target_world, nbytes=out.nbytes)
         if _MX.enabled:
             _MX.inc("mpi.rma.bytes", out.nbytes, op="Get")
@@ -217,8 +217,8 @@ class Win:
         self.comm.counters().record_send(
             self.comm.world_rank(target_rank), data.nbytes)
         if _TR.enabled:
-            _TR.complete("mpi.rma", "Accumulate", t0,
-                         rank=self.comm.context.rank,
+            _TR.complete("mpi.rma", "Accumulate",
+                         self.comm.context.rank, t0,
                          target=self.comm.world_rank(target_rank),
                          nbytes=data.nbytes)
         if _MX.enabled:

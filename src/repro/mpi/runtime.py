@@ -30,7 +30,6 @@ import numpy as np
 
 from ..chaos.core import ENGINE as _CH
 from ..obs import causal as _CZ
-from ..obs.flight import FLIGHT as _FL
 from ..trace import TRACER as _TR
 from .counters import CommCounters
 from .errors import (AbortError, CommRevokedError, DeadlockError,
@@ -197,7 +196,7 @@ class _Mailbox:
                                         m, desc + " [wildcard]", cause)
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        flight = _FL.notify_fault("DeadlockError", desc,
+                        flight = _TR.notify_fault("DeadlockError", desc,
                                                   ranks=world.status())
                         raise DeadlockError(
                             f"{desc} timed out after {timeout:.1f}s; pending "
@@ -272,7 +271,7 @@ class World:
                 first = True
         self._wake_all()
         if first:
-            _FL.notify_fault("AbortError", repr(cause),
+            _TR.notify_fault("AbortError", repr(cause),
                              ranks=self.status())
 
     def check_abort(self) -> None:
@@ -306,7 +305,7 @@ class World:
                 first = True
         self._wake_all()
         if first:
-            _FL.notify_fault("RankFailure", f"rank {rank}: {cause!r}",
+            _TR.notify_fault("RankFailure", f"rank {rank}: {cause!r}",
                              ranks=self.status())
 
     def failed_ranks(self):
@@ -460,7 +459,7 @@ class World:
                     return result
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    flight = _FL.notify_fault(
+                    flight = _TR.notify_fault(
                         "DeadlockError", f"agreement {key!r}",
                         ranks=self.status())
                     raise DeadlockError(
@@ -529,7 +528,7 @@ class RankContext:
         seq = self.world.deliver(self.rank, dest, ctx_id, tag, "buffer",
                                  payload, nbytes, jump)
         if _TR.enabled:
-            _TR.complete("mpi.p2p", "send", t0, rank=self.rank, dest=dest,
+            _TR.complete("mpi.p2p", "send", self.rank, t0, dest=dest,
                          nbytes=nbytes, kind="buffer", seq=seq)
 
     def send_object(self, dest: int, ctx_id, tag, obj: Any) -> None:
@@ -568,7 +567,7 @@ class RankContext:
         seq = self.world.deliver(self.rank, dest, ctx_id, tag, kind,
                                  payload, nbytes, jump)
         if _TR.enabled:
-            _TR.complete("mpi.p2p", "send", t0, rank=self.rank, dest=dest,
+            _TR.complete("mpi.p2p", "send", self.rank, t0, dest=dest,
                          nbytes=nbytes, kind=kind, seq=seq)
 
     def recv_message(self, ctx_id, source, tag,
@@ -584,7 +583,7 @@ class RankContext:
             msg = self.world.mailboxes[self.rank].retrieve(
                 ctx_id, source, tag, timeout, members=members)
             self.world.counters[self.rank].record_recv(msg.src, msg.nbytes)
-            _TR.complete("mpi.p2p", "recv", t0, rank=self.rank,
+            _TR.complete("mpi.p2p", "recv", self.rank, t0,
                          source=msg.src, nbytes=msg.nbytes, seq=msg.seq)
             return msg
         msg = self.world.mailboxes[self.rank].retrieve(

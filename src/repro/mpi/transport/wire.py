@@ -50,6 +50,7 @@ RMA_GET = 11      # (win_id, offset, count, dtype_str, reply_id)
 RMA_REP = 12      # (reply_id, data | exception)
 RMA_ACC = 13      # (win_id, offset, op_name, dtype_str, data)
 HB = 14           # () piggybacked liveness stamp
+BYE = 15          # () orderly close: the EOF that follows is no failure
 
 _LEN = struct.Struct("!I")
 

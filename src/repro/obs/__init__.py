@@ -8,9 +8,9 @@ which driver op caused it":
 - :mod:`repro.obs.causal` -- the (op_id, epoch_id) identity every
   control op carries from the ODIN driver to worker spans, metrics and
   tagged collective counters.
-- :mod:`repro.obs.flight` -- :data:`FLIGHT`, the always-on bounded
-  ring of recent events, auto-dumped on faults as analyzer-loadable
-  Chrome trace JSON.
+- :mod:`repro.obs.flight` -- the fault side of the event recorder
+  (:data:`repro.trace.TRACER`): its always-on window of recent events
+  is auto-dumped on faults as analyzer-loadable Chrome trace JSON.
 - :mod:`repro.obs.server` -- :func:`serve`, the opt-in HTTP endpoint
   (``/metrics``, ``/status``, ``/flight``, ``/profile``); also started
   automatically when ``REPRO_OBS_PORT`` is set.
@@ -27,17 +27,15 @@ Quickstart::
 
 The heavy pieces (HTTP server, profiler) import lazily; importing this
 package costs only the causal/flight/status modules, which are
-stdlib + repro.trace.
+stdlib only (:mod:`repro.trace` builds on them).
 """
 
 from __future__ import annotations
 
 from . import causal  # noqa: F401  (re-exported submodule)
 from . import status  # noqa: F401
-from .flight import FLIGHT, FlightRecorder  # noqa: F401
 
-__all__ = ["FLIGHT", "FlightRecorder", "causal", "status", "serve",
-           "serve_shutdown"]
+__all__ = ["causal", "status", "serve", "serve_shutdown"]
 
 
 def serve(port: int = 0, host: str = "127.0.0.1"):

@@ -9,7 +9,7 @@ environment); when on, a daemon :class:`ThreadingHTTPServer` exposes:
   plan-cache state, and the per-rank pending-op + heartbeat-age table
   (the ``DeadlockError`` dump, on demand).  Read-only and
   communication-free, so it answers even when the workload is hung.
-- ``/flight`` -- the flight-recorder rings as Chrome trace JSON (what
+- ``/flight`` -- the recorded events as Chrome trace JSON (what
   :func:`repro.trace.analyze.load_chrome_trace` reads), plus the last
   fault notification under ``otherData``.
 - ``/profile?seconds=S`` -- folded stacks from the sampling profiler
@@ -32,7 +32,7 @@ __all__ = ["ObsServer", "serve", "shutdown"]
 _INDEX = """repro.obs endpoints:
   /metrics            Prometheus text exposition
   /status             per-context + per-rank runtime state (JSON)
-  /flight             flight-recorder rings (Chrome trace JSON)
+  /flight             recorded events (Chrome trace JSON)
   /profile?seconds=S  folded stacks from the sampling profiler
 """
 
@@ -73,13 +73,13 @@ class _Handler(BaseHTTPRequestHandler):
             return (json.dumps(status.snapshot(), indent=2, default=str)
                     + "\n", "application/json")
         if path == "/flight":
+            from ..trace import TRACER
             from ..trace.export import chrome_trace_events
-            from .flight import FLIGHT
             payload = {
-                "traceEvents": chrome_trace_events(FLIGHT),
+                "traceEvents": chrome_trace_events(TRACER),
                 "displayTimeUnit": "ms",
                 "otherData": {"producer": "repro.obs.flight",
-                              "last_fault": FLIGHT.last_fault},
+                              "last_fault": TRACER.last_fault},
             }
             return json.dumps(payload, default=str), "application/json"
         if path == "/profile":

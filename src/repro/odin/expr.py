@@ -111,40 +111,39 @@ class LazyExpr:
         return LazyExpr("absolute", "unary", [self])
 
     # -- analysis ---------------------------------------------------------
+    # The walks below recurse through methods, not nested closures: a
+    # recursive closure is a reference cycle, which would keep the leaf
+    # DistArrays (and their worker-side blocks) alive until the cyclic
+    # GC happens to run.
     def leaves(self) -> List[DistArray]:
         out: List[DistArray] = []
-
-        def visit(node: LazyExpr):
-            if node.kind == "leaf":
-                arr = node.children[0]
-                if all(arr is not seen for seen in out):
-                    out.append(arr)
-            elif node.kind in ("unary", "binary"):
-                for child in node.children:
-                    visit(child)
-
-        visit(self)
+        self._visit_leaves(out)
         return out
+
+    def _visit_leaves(self, out: List[DistArray]) -> None:
+        if self.kind == "leaf":
+            arr = self.children[0]
+            if all(arr is not seen for seen in out):
+                out.append(arr)
+        elif self.kind in ("unary", "binary"):
+            for child in self.children:
+                child._visit_leaves(out)
 
     def program(self, leaf_index) -> List[tuple]:
         """Postfix program with leaf loads resolved via *leaf_index*."""
         prog: List[tuple] = []
-
-        def emit(node: LazyExpr):
-            if node.kind == "leaf":
-                prog.append(("load", leaf_index(node.children[0])))
-            elif node.kind == "const":
-                prog.append(("const", node.children[0]))
-            elif node.kind == "unary":
-                emit(node.children[0])
-                prog.append(("unary", node.op))
-            else:
-                emit(node.children[0])
-                emit(node.children[1])
-                prog.append(("binary", node.op))
-
-        emit(self)
+        self._emit(leaf_index, prog)
         return prog
+
+    def _emit(self, leaf_index, prog: List[tuple]) -> None:
+        if self.kind == "leaf":
+            prog.append(("load", leaf_index(self.children[0])))
+        elif self.kind == "const":
+            prog.append(("const", self.children[0]))
+        else:
+            for child in self.children:
+                child._emit(leaf_index, prog)
+            prog.append((self.kind, self.op))
 
     def num_ops(self) -> int:
         if self.kind in ("leaf", "const"):

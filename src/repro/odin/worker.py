@@ -12,7 +12,6 @@ import importlib
 import marshal
 import os
 import sys
-import time
 import types
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -23,7 +22,6 @@ import numpy as np
 from ..metrics import REGISTRY as _MX
 from ..mpi.comm import Intracomm
 from ..obs import causal as _CZ
-from ..obs.flight import FLIGHT as _FL
 from ..trace import TRACER as _TR
 from . import opcodes
 from .distribution import (ArbitraryDistribution, BlockDistribution,
@@ -526,7 +524,7 @@ def _eval_program(state: WorkerState, program, blocks: List[np.ndarray],
                 if _TR.enabled:
                     t0 = _TR.now()
                     out = kernel(blocks)
-                    _TR.complete("odin.worker", "fused.kernel", t0,
+                    _TR.complete("odin.worker", "fused.kernel", None, t0,
                                  ops=len(program), engine="seamless")
                     return out
                 return kernel(blocks)
@@ -552,7 +550,7 @@ def _eval_program(state: WorkerState, program, blocks: List[np.ndarray],
         raise ValueError("malformed fusion program")
     out = np.asarray(stack[0])
     if _TR.enabled:
-        _TR.complete("odin.worker", "fused.stack", t0,
+        _TR.complete("odin.worker", "fused.stack", None, t0,
                      ops=len(program), engine="numpy")
     return out
 
@@ -749,22 +747,19 @@ def execute_op(state: WorkerState, op: tuple) -> Any:
     """Execute one control op; each op becomes one ``odin.worker`` span
     (tagged with the causal op_id from the TAGGED envelope) and, with
     metrics on, one per-opcode latency observation."""
-    if not (_TR.enabled or _MX.enabled or _FL.enabled):
+    if not (_TR.recording or _MX.enabled):
         return _execute_op_impl(state, op)
-    t0 = time.perf_counter()
+    t0 = _TR.now()
     oid, eid = _CZ.current()
-    if _TR.enabled:
-        with _TR.span("odin.worker", str(op[0]), worker=state.index,
-                      op_id=oid, epoch_id=eid):
-            out = _execute_op_impl(state, op)
-    else:
+    try:
         out = _execute_op_impl(state, op)
+    finally:
+        if _TR.recording:
+            _TR.complete("odin.worker", str(op[0]), None, t0,
+                         worker=state.index, op_id=oid, epoch_id=eid)
     if _MX.enabled:
-        _MX.observe("odin.worker.op_seconds", time.perf_counter() - t0,
+        _MX.observe("odin.worker.op_seconds", _TR.now() - t0,
                     op=str(op[0]), worker=state.index)
-    if _FL.enabled:
-        _FL.complete("odin.worker", str(op[0]), _TR.thread_rank(),
-                     t0 - _TR._epoch, worker=state.index, op_id=oid)
     return out
 
 

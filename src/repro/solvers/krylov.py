@@ -32,7 +32,8 @@ def _iter_done(name: str, t0: float, k: int, rel: float) -> None:
     """Record one solver iteration: a span carrying its residual norm
     (trace) and an iteration count / latest-residual gauge (metrics)."""
     if _TR.enabled:
-        _TR.complete("solver.krylov", name, t0, k=int(k), resid=float(rel))
+        _TR.complete("solver.krylov", name, None, t0, k=int(k),
+                     resid=float(rel))
     if _MX.enabled:
         method = name.split(".", 1)[0]
         _MX.inc("solver.iterations", method=method)

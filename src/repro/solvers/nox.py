@@ -173,7 +173,7 @@ class NewtonSolver:
             eta_old = eta
             history.append(fnorm)
             if _TR.enabled:
-                _TR.complete("solver.nox", "newton.iter", t0, k=k,
+                _TR.complete("solver.nox", "newton.iter", None, t0, k=k,
                              fnorm=float(fnorm), lam=float(lam))
         converged = fnorm <= tol * f0 or fnorm <= tol
         return NonlinearResult(x, converged, maxiter, fnorm, history,
@@ -266,7 +266,7 @@ class NewtonSolver:
             fnorm = fn
             history.append(fnorm)
             if _TR.enabled:
-                _TR.complete("solver.nox", "newton.iter", t0, k=k,
+                _TR.complete("solver.nox", "newton.iter", None, t0, k=k,
                              fnorm=float(fnorm), strategy="trust-region")
         converged = fnorm <= tol * f0 or fnorm <= tol
         return NonlinearResult(x, converged, maxiter, fnorm, history,

@@ -180,7 +180,7 @@ def _shrink_and_restore(comm: Intracomm, ckpt: Optional[IterateCheckpoint],
     if _MX.enabled:
         _MX.inc("recover.solver_restarts")
     if _TR.enabled:
-        _TR.complete("recover", "solver.shrink+restore", t0,
+        _TR.complete("recover", "solver.shrink+restore", None, t0,
                      lost=len(dead), survivors=new_comm.size)
     return new_comm, len(dead), x_global
 

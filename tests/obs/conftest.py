@@ -8,8 +8,8 @@ record through them must leave them empty (the recorder stays *enabled*
 import pytest
 
 from repro.metrics import REGISTRY
-from repro.obs.flight import FLIGHT
 from repro.trace import TRACER
+from repro.trace import TRACER as FLIGHT
 
 
 @pytest.fixture

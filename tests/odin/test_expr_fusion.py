@@ -1,5 +1,8 @@
 """Lazy expressions and loop fusion tests."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,22 @@ class TestLazyGraphs:
         msgs, _ = ctx.control_traffic()
         # one fused op: one bcast tree (<= nworkers messages from driver)
         assert msgs <= 4
+
+    def test_evaluate_frees_leaves_without_the_cyclic_gc(self, odin4):
+        # a leaf kept alive by a reference cycle would reach the workers
+        # as a DELETE only whenever the cyclic GC happens to run
+        gc.collect()
+        gc.disable()
+        try:
+            u = odin.random(64, seed=3)
+            with odin.lazy():
+                expr = odin.sqrt(u * u) + 1.0
+            out = odin.evaluate(expr, use_seamless=False)
+            leaf = weakref.ref(u)
+            del u, expr, out
+            assert leaf() is None
+        finally:
+            gc.enable()
 
     def test_module_ufuncs_participate(self, odin4):
         x = odin.linspace(0.1, 2.0, 64)

@@ -57,7 +57,7 @@ class TestChromeTrace:
         with tracer.span("cat", "outer", rank=0):
             with tracer.span("cat", "inner", rank=0):
                 pass
-        tracer.complete("cat", "late", t0, rank=1)
+        tracer.complete("cat", "late", 1, t0)
         events = [e for e in chrome_trace_events(tracer)
                   if e["ph"] == "X"]
         for tid in {e["tid"] for e in events}:

@@ -39,7 +39,7 @@ class TestEmit:
     def test_begin_complete_pair(self, tracer):
         t0 = tracer.now()
         time.sleep(0.002)
-        tracer.complete("test", "hot", t0, rank=1, nbytes=64)
+        tracer.complete("test", "hot", 1, t0, nbytes=64)
         (_ph, _cat, name, rank, ts, dur, args), = tracer.events()
         assert name == "hot" and rank == 1
         assert abs(ts - t0) < 1e-9 and dur >= 0.002
@@ -111,7 +111,7 @@ class TestSpanTimers:
 
     def test_complete_updates_timers_too(self, tracer):
         t0 = tracer.now()
-        tracer.complete("phase", "hot", t0, rank=0)
+        tracer.complete("phase", "hot", 0, t0)
         timer = tracer.span_timers()[(0, "phase:hot")]
         assert timer.calls == 1
 

@@ -117,11 +117,14 @@ def _traced_collective(default_algorithm: str):
     """Wrap a collective so each call records one span tagged with the
     algorithm it executed, counts the (op, algorithm) pair in the rank's
     wire counters, and (when metrics are on) counts calls and this rank's
-    sent bytes per algorithm.  Adaptive collectives overwrite the default
-    label via :meth:`Intracomm._note_algorithm`; the label a call records
-    is always the algorithm that actually ran."""
+    sent bytes per algorithm.  Static collectives are counted on entry,
+    adaptive ones when they name their algorithm via
+    :meth:`Intracomm._note_algorithm`, both before any message; a call
+    that raises is taken back.  The label a call records is always the
+    algorithm that actually ran."""
     def deco(fn):
         name = fn.__name__
+        static = name in _STATIC_LABELS
 
         def wrapper(self, *args, **kwargs):
             if _CH.enabled:
@@ -137,17 +140,23 @@ def _traced_collective(default_algorithm: str):
             # plain attribute read: exactness not worth a lock here
             b0 = ctrs.bytes_sent if mx else 0
             t0 = _TR.now() if rec else 0.0
-            notes = self._algo_notes
-            notes.append(default_algorithm)
-            try:
-                out = fn(self, *args, **kwargs)
-                algorithm = notes[-1]
-            finally:
-                notes.pop()
             # collectives issued while an ODIN control op executes inherit
             # its causal identity (None outside any tagged op)
             op_id = _CZ.current_op_id()
-            ctrs.record_coll(name, algorithm, op_id)
+            notes = self._algo_notes
+            note = [name, None, op_id]
+            notes.append(note)
+            try:
+                if static:
+                    self._note_algorithm(default_algorithm)
+                out = fn(self, *args, **kwargs)
+            except BaseException:
+                if note[1] is not None:
+                    ctrs.record_coll(name, note[1], op_id, -1)
+                raise
+            finally:
+                notes.pop()
+            algorithm = note[1]
             if rec:
                 _TR.complete("mpi.coll", name, self._ctx.rank, t0,
                              algorithm=algorithm, size=self._size,
@@ -262,7 +271,8 @@ class Intracomm:
         self._agree_seq = 0  # agreement rendezvous stream; SPMD-consistent
         # algorithm-label stack for the _traced_collective wrappers (a
         # stack because adaptive collectives nest: allreduce -> Reduce)
-        self._algo_notes: List[str] = []
+        # of [op name, algorithm once chosen, causal op_id] entries
+        self._algo_notes: List[list] = []
         self._cost_model: Optional[CostModel] = None
         self._topology: Optional[Topology] = None
 
@@ -337,9 +347,15 @@ class Intracomm:
         return model, topo
 
     def _note_algorithm(self, algorithm: str) -> None:
-        """Record which algorithm the innermost active collective ran."""
+        """Record which algorithm the innermost active collective runs and
+        count the call in the rank's counters.  Called before the call's
+        first message, so a peer that has seen the call's last message
+        (the driver of a gather, say) also sees it counted."""
         if self._algo_notes:
-            self._algo_notes[-1] = algorithm
+            note = self._algo_notes[-1]
+            note[1] = algorithm
+            self._ctx.world.counters[self._ctx.rank].record_coll(
+                note[0], algorithm, note[2])
 
     def _select(self, coll: str, nbytes: int, count: Optional[int],
                 commutative: bool, algorithm: Optional[str]) -> str:

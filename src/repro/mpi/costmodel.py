@@ -29,6 +29,7 @@ inter-node terms only for the leader exchange.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -243,6 +244,7 @@ def collective_costs(coll: str, p: int, nbytes: int, model: CostModel,
     return costs
 
 
+@functools.lru_cache(maxsize=1024)
 def select_algorithm(coll: str, p: int, nbytes: int, model: CostModel,
                      topology: Optional[Topology] = None,
                      commutative: bool = True,
@@ -252,7 +254,10 @@ def select_algorithm(coll: str, p: int, nbytes: int, model: CostModel,
     Deterministic in its arguments (ties break on the algorithm name),
     which is what makes per-call selection SPMD-safe: every rank feeds
     in the same (p, size, model, topology) and lands on the same
-    algorithm.
+    algorithm.  Memoized on its exact arguments (``CostModel`` and
+    ``Topology`` are frozen, hence hashable): the argmin runs on every
+    control bcast and every reduction, almost always with the same
+    arguments.
     """
     costs = collective_costs(coll, p, nbytes, model, topology=topology,
                              commutative=commutative, count=count)

@@ -38,7 +38,8 @@ class CounterSnapshot:
         self.bytes_recvd = bytes_recvd
         self.by_peer = dict(by_peer)
         self.by_peer_recv = dict(by_peer_recv)
-        # (collective op name, algorithm label) -> completed call count;
+        # (collective op name, algorithm label) -> call count (completed
+        # or in progress: a call is counted before its first message);
         # the counter-side record of what the trace spans claim, so the
         # two can be cross-checked without a tracer attached
         self.coll_calls = dict(coll_calls)
@@ -142,22 +143,29 @@ class CommCounters:
         self.by_peer = defaultdict(int)
         # source rank (world numbering) -> bytes received from that peer
         self.by_peer_recv = defaultdict(int)
-        # (op, algorithm) -> completed collective calls
+        # (op, algorithm) -> collective calls completed or in progress
         self.coll_calls = defaultdict(int)
         # causal op_id -> {op: calls}, bounded FIFO over recent op_ids
         self.by_causal = OrderedDict()
 
     def record_coll(self, op: str, algorithm: str,
-                    op_id=None) -> None:
+                    op_id=None, n: int = 1) -> None:
+        """Count a collective call once its algorithm is fixed, before
+        its first message; ``n=-1`` takes back a call that raised."""
         with self._lock:
-            self.coll_calls[(op, algorithm)] += 1
+            key = (op, algorithm)
+            self.coll_calls[key] += n
+            if not self.coll_calls[key]:
+                del self.coll_calls[key]
             if op_id is not None:
                 ops = self.by_causal.get(op_id)
                 if ops is None:
                     ops = self.by_causal[op_id] = {}
                     while len(self.by_causal) > _CAUSAL_CAP:
                         self.by_causal.popitem(last=False)
-                ops[op] = ops.get(op, 0) + 1
+                ops[op] = ops.get(op, 0) + n
+                if not ops[op]:
+                    del ops[op]
 
     def record_send(self, dest_world_rank: int, nbytes: int) -> None:
         with self._lock:

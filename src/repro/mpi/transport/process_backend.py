@@ -516,7 +516,7 @@ class ProcessWorld(World):
 
     def close(self) -> None:
         """Tear down the transport: close sockets (peers read EOF), join
-        receiver threads, drop shared-memory mappings."""
+        receiver threads."""
         if self._closing:
             return
         self._closing = True
@@ -524,7 +524,6 @@ class ProcessWorld(World):
             ch.close()
         for t in self._recv_threads:
             t.join(timeout=2)
-        self.shm.close()
 
 
 # ----------------------------------------------------------------------

@@ -147,3 +147,27 @@ class TestSelection:
     def test_unknown_collective_raises(self):
         with pytest.raises(ValueError):
             collective_costs("allgather", 4, 100, self.M)
+
+    def test_memoized_choice_equals_uncached_argmin(self):
+        topo = Topology(intra_node_groups=[(0, 1, 2, 3), (4, 5, 6, 7)])
+        hits = select_algorithm.cache_info().hits
+        checked = 0
+        for coll in COLLECTIVE_ALGORITHMS:
+            for p in (1, 2, 3, 4, 7, 8):
+                for nbytes in (1, 64, 10**4, 10**6, 8 * 10**7):
+                    for commutative in (True, False):
+                        for model in (self.M, ETHERNET):
+                            for count in (None, nbytes // 8):
+                                args = (coll, p, nbytes, model)
+                                kw = dict(topology=topo if p == 8 else None,
+                                          commutative=commutative,
+                                          count=count)
+                                costs = collective_costs(*args, **kw)
+                                argmin = min(costs, key=lambda a: (
+                                    costs[a], a))
+                                for _ in range(2):  # miss, then cached
+                                    assert select_algorithm(*args, **kw) \
+                                        == argmin, (args, kw)
+                                checked += 1
+        assert checked == 3 * 6 * 5 * 2 * 2 * 2
+        assert select_algorithm.cache_info().hits >= hits + checked

@@ -7,6 +7,8 @@ worker-side plan cache -- parametrized over ``backend=thread|process``
 with the oracle on both backends proves backend equivalence.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -292,3 +294,28 @@ class TestOdin:
             out = hypot(a, b)
             np.testing.assert_allclose(out.gather(),
                                        np.hypot(np.arange(30.0), 1.0))
+
+    def test_worker_counts_a_sync_op_before_the_driver_sees_it(
+            self, odin_ctx, monkeypatch):
+        """A worker's count of its status gather must not trail the
+        message that completes the gather at the driver: a slow counter
+        update (inherited by forked workers) would otherwise leave the
+        driver's fetch one call short."""
+        from repro.mpi.counters import CommCounters
+        real = CommCounters.record_coll
+        driver = []  # set after the fork: the workers keep it empty
+
+        def slow(self, *args, **kwargs):
+            if self not in driver:
+                time.sleep(0.05)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(CommCounters, "record_coll", slow)
+        key = ("gather", "linear-root")
+        with odin_ctx(2) as ctx:
+            driver.append(ctx.world.counters[0])
+            for _ in range(3):
+                ctx.flush()  # one status gather on every rank
+                calls = [ctx._worker_counters(r).coll_calls.get(key, 0)
+                         for r in (0, 1, 2)]
+                assert calls[0] >= 1 and len(set(calls)) == 1, calls
